@@ -546,14 +546,13 @@ class IndexManager:
         leaf_nids = self._leaf_nids_of(doc)
         if doc.text_overlay is None or read_epoch() is None:
             cols = doc.columns()
-            if cols is not None:
-                leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
-                slots = cols.text_id[leaf].tolist()
-                texts = doc.texts
-                leaf_texts = [texts[slot] for slot in slots]
-                matches = containing_indices(leaf_texts, needle)
-                if matches is not None:
-                    return [leaf_nids[i] for i in matches]
+            leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
+            slots = cols.text_id[leaf].tolist()
+            texts = doc.texts
+            leaf_texts = [texts[slot] for slot in slots]
+            matches = containing_indices(leaf_texts, needle)
+            if matches is not None:
+                return [leaf_nids[i] for i in matches]
         pre_of = doc.pre_of
         text_of = doc.text_of
         return [

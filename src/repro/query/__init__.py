@@ -2,7 +2,7 @@
 
 from .ast import Comparison, Path, Step
 from .evaluator import evaluate_naive
-from .executor import execute_plan
+from .vexecutor import execute_plan
 from .parser import parse_query
 from .plan import (
     AncestorWalk,

@@ -1,11 +1,10 @@
 """Vectorized structural kernels over the pre/size/level columns.
 
-These are the batch counterparts of the per-node walks in
-:mod:`repro.query.executor`: ``ancestor_walk`` replaces the recursive
-``_context_starts`` and ``structural_verify`` replaces the memoized
-``_matches_absolute``.  Both operate on sorted numpy ``pre`` arrays and
-reduce every axis question to integer arithmetic on the shredded
-columns:
+The executor's structural operators: ``ancestor_walk`` finds the
+context nodes from which an operand path reaches a batch of index hits,
+and ``structural_verify`` keeps the candidates an absolute path
+selects.  Both operate on sorted numpy ``pre`` arrays and reduce every
+axis question to integer arithmetic on the shredded columns:
 
 * parent — one gather from the ``parent_pre`` plane;
 * ancestors — O(depth) parent gathers with per-level dedup;
@@ -15,10 +14,10 @@ columns:
   is exact);
 * node tests — boolean masks over the ``kind``/``name_id`` columns.
 
-Steps that carry their own nested predicates fall back to the scalar
+Steps that carry their own nested predicates fall back to
 ``_predicate_holds`` per *surviving* node — batches shrink before the
-fallback runs, so the scalar work is bounded by the candidate set, not
-the document.  Equivalence with the scalar operators is enforced by
+fallback runs, so the per-node work is bounded by the candidate set,
+not the document.  Agreement with the naive evaluator is enforced by
 ``tests/query/test_vectorized_equivalence.py`` and the randomized
 kernel property suite.
 """
@@ -135,8 +134,8 @@ def ancestor_walk(
     hits: "np.ndarray",
     steps: tuple[Step, ...],
 ) -> "np.ndarray":
-    """Batch ``_context_starts``: the sorted unique context pres from
-    which the operand ``steps`` can select some node in ``hits``.
+    """The sorted unique context pres from which the operand ``steps``
+    can select some node in ``hits``.
 
     Walks the steps backwards: the frontier is filtered by the current
     step's test/predicates, then expanded to its predecessors (parents
@@ -168,16 +167,16 @@ def structural_verify(
     steps: tuple[Step, ...],
     skip_predicate,
 ) -> "np.ndarray":
-    """Batch ``_matches_absolute``: the candidates selectable by the
-    absolute ``steps`` from the document node.
+    """The candidates selectable by the absolute ``steps`` from the
+    document node.
 
     Restricts work to the ancestor closure of the candidate batch and
     sweeps the steps *forwards* over it: ``matched`` holds the closure
     nodes reachable by ``steps[:idx+1]``; a child step requires the
     parent in the previous front, a descendant step requires *some*
     strict ancestor in it (interval stabbing, no tree walking).  The
-    closure is ancestor-closed, so every chain the scalar recursion
-    could find lives entirely inside it.
+    closure is ancestor-closed, so every chain that selects a
+    candidate lives entirely inside it.
     """
     if candidates.size == 0:
         return EMPTY_PRES
@@ -216,8 +215,8 @@ def structural_verify(
         elif step.axis == "child":
             mask &= cols.parent_in(matched, closure)
         else:
-            # descendant — and, mirroring the scalar recursion, any
-            # other axis resolves through the ancestor closure too.
+            # descendant — any other axis resolves through the
+            # ancestor closure too.
             mask &= cols.has_ancestor_in(matched, closure)
         matched = closure[mask]
         if matched.size == 0:

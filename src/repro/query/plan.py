@@ -2,7 +2,7 @@
 
 The planner (:mod:`repro.query.planner`) compiles a parsed query into a
 tree of these operators for one document; the executor
-(:mod:`repro.query.executor`) runs the tree with per-operator
+(:mod:`repro.query.vexecutor`) runs the tree with per-operator
 instrumentation.  Shapes:
 
 * ``FullScan`` — the naive evaluator over the whole document (always
@@ -114,7 +114,7 @@ class IndexLookup(PlanNode):
     window scan of the value B-tree.  ``proves`` lists every atomic
     predicate each emitted node is guaranteed to satisfy (the driver
     alone for plain lookups; all fused conjuncts for a window) — the
-    batch executor uses it to elide the scalar predicate re-check.
+    executor uses it to elide the per-node predicate re-check.
     """
 
     op = "IndexLookup"

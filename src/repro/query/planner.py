@@ -12,8 +12,8 @@ The engine runs in three explicit phases:
    snapshots of :mod:`repro.core.statistics`; in ``auto`` mode the
    index plan is only chosen when its estimated candidate set is
    cheaper than the scan it replaces.
-3. **Execute** — :mod:`repro.query.executor` runs the tree with
-   per-operator instrumentation.
+3. **Execute** — :mod:`repro.query.vexecutor` runs the tree as sorted
+   numpy row-id batches with per-operator instrumentation.
 
 Any configured typed index is eligible: numeric literals route through
 an index whose plugin implements xs:double, and quoted temporal
@@ -45,7 +45,6 @@ from .ast import (
     TextTest,
 )
 from .evaluator import typed_literal
-from .executor import execute_plan
 from .plan import (
     AncestorWalk,
     FullScan,
@@ -58,6 +57,7 @@ from .plan import (
     render_plan,
 )
 from .parser import parse_query
+from .vexecutor import execute_plan
 
 __all__ = ["query", "explain", "Explanation", "build_plan"]
 
@@ -301,7 +301,7 @@ def _fuse_range_conjuncts(manager: IndexManager, conjuncts):
     complement intersect is usually near-empty; the window does the
     heavy lifting.  Returns ``(fused plans, leftover conjuncts)``;
     every branch ``proves`` the absorbed conjuncts its witnesses
-    imply, so the batch executor can skip the scalar re-check
+    imply, so the executor can skip the per-node re-check
     (:func:`repro.query.vexecutor._residual_predicates`).
     """
     groups: dict = {}
@@ -551,7 +551,6 @@ def query(
     text: str,
     document: str | None = None,
     use_indexes: bool | str = True,
-    vectorized: bool | None = None,
 ) -> list[int]:
     """Evaluate a query; returns matching node ids in document order.
 
@@ -563,10 +562,6 @@ def query(
     * ``"auto"`` — cost-based: use the index only when its statistics
       predict fewer candidates than :data:`SCAN_THRESHOLD` of the
       document (an unselective range is cheaper to scan).
-
-    ``vectorized`` picks the executor (``None``: batch by default with
-    the ``REPRO_SCALAR_EXEC=1`` escape hatch; see
-    :func:`repro.query.executor.execute_plan`).
     """
     if use_indexes not in (True, False, "auto"):
         raise ValueError("use_indexes must be True, False or 'auto'")
@@ -581,7 +576,7 @@ def query(
     with metrics.timer("query.evaluate").time():
         for doc in docs:
             plan = _plan_for(manager, doc, text, parsed.path, use_indexes)
-            pres = execute_plan(manager, doc, plan, vectorized=vectorized)
+            pres = execute_plan(manager, doc, plan)
             results.extend(doc.nid[pre] for pre in pres)
     metrics.counter("query.executed").inc()
     return results

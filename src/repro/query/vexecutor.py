@@ -1,10 +1,9 @@
-"""Batch (vectorized) plan executor: sorted numpy row-id pipelines.
+"""The plan executor: sorted numpy row-id pipelines.
 
-The scalar executor (:mod:`repro.query.executor`) walks one Python
-object per node; this executor runs the *same plan trees* but lets
-operators exchange :class:`RowBatch` objects — sorted, duplicate-free
-numpy ``pre`` arrays — and evaluates the structural operators with the
-merge/interval kernels of :mod:`repro.query.kernels`:
+Runs the plans built by :mod:`repro.query.planner` against one
+document.  Operators exchange :class:`RowBatch` objects — sorted,
+duplicate-free numpy ``pre`` arrays — and the structural operators
+run the merge/interval kernels of :mod:`repro.query.kernels`:
 
 * ``IndexLookup`` maps the index's nids to owned pres with one
   ``searchsorted`` over the document's sorted nid plane;
@@ -13,14 +12,21 @@ merge/interval kernels of :mod:`repro.query.kernels`:
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
   ``np.union1d`` merges.
 
+Each operator records its output cardinality and (inclusive) wall time
+into an ``actuals`` dict keyed by the node's ``op_id``; the manager's
+metrics registry receives aggregate counters.
+
 **Sortedness invariant**: every batch handed between operators is
 sorted ascending with no duplicates.  All kernels both rely on it
 (binary-search probes) and preserve it, so no operator ever re-sorts.
 
-**Equivalence**: results are bit-identical to the scalar executor.
-``StructuralVerify`` normally re-checks the full predicate with the
-scalar ``_predicate_holds`` on the (already narrowed) survivors; parts
-of that re-check are skipped when the plan shape proves them redundant.
+**Equivalence**: whatever the plan shape, the result equals
+:func:`repro.query.evaluator.evaluate_naive` — index operators only
+*narrow the candidate set*, and ``StructuralVerify`` re-establishes the
+full path structure before a node is emitted.  It normally re-checks
+the full predicate with ``_predicate_holds`` on the (already narrowed)
+survivors; parts of that re-check are skipped when the plan shape
+proves them redundant.
 The base case: an ``AncestorWalk`` over an ``IndexLookup`` whose driver
 *is* an atomic predicate guarantees that predicate for every candidate
 it emits (each candidate, by construction, reaches an exact, verified
@@ -35,10 +41,6 @@ conjuncts the plan does not prove — e.g. ``[a >= x and a < y]``
 planned as an intersection of two range walks needs no re-check at
 all, while a partially covered conjunction re-checks only the
 uncovered conjuncts.
-
-The dispatcher in :func:`repro.query.executor.execute_plan` selects
-this executor by default and falls back to the scalar one when numpy
-is unavailable or ``REPRO_SCALAR_EXEC=1`` is set.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .plan import (
     Union,
 )
 
-__all__ = ["RowBatch", "run_vectorized"]
+__all__ = ["RowBatch", "execute_plan", "run_vectorized"]
 
 
 class RowBatch:
@@ -177,21 +179,19 @@ def _container_values_equal(
 
 
 def _index_nids_batch(manager: IndexManager, node: IndexLookup):
-    """``(nids, unique)`` for one ``IndexLookup``, batched where the
-    index supports it.  Typed lookups collect their ``(value, nid)``
-    keys with the B-tree's leaf-slice range scan — for wide range
-    predicates the per-entry generator frames of the scalar path
-    dominate the whole query, so the batch executor bypasses them.
-    ``unique`` is True when the scan cannot repeat a nid (one typed
-    value per node), letting the pre mapping skip its dedup."""
-    from .executor import _index_nids
-
+    """``(nids, unique)`` for one ``IndexLookup`` (all documents;
+    the pre mapping drops other documents' nids).  Typed lookups
+    collect their ``(value, nid)`` keys with the B-tree's leaf-slice
+    range scan.  ``unique`` is True when the scan cannot repeat a nid
+    (one typed value per node), letting the pre mapping skip its
+    dedup."""
     driver = node.driver
-    if isinstance(driver, FunctionPredicate) or node.kind in (
-        "string",
-        "substring",
-    ):
-        return _index_nids(manager, node), False
+    if isinstance(driver, FunctionPredicate):
+        if driver.function == "contains":
+            return manager.lookup_contains(driver.literal), False
+        return manager.lookup_regex(driver.literal), False
+    if node.kind == "string":
+        return manager.lookup_string(driver.literal), False
     kind, op, value = node.kind, node.op_symbol, node.value
     if node.high_op is not None:
         # Fused range conjunction: one bounded window scan.
@@ -259,7 +259,7 @@ def _plan_answers(plan: PlanNode, predicate) -> bool:
 
 
 def _residual_predicates(node: StructuralVerify) -> list:
-    """The predicate parts the scalar re-check must still evaluate on
+    """The predicate parts the re-check must still evaluate on
     each survivor; empty when the plan proves the whole predicate."""
     child = node.children[0]
     predicate = node.predicate
@@ -321,8 +321,8 @@ def _run_batch(
         )
         residual = _residual_predicates(node) if pres.size else []
         if residual:
-            # Same guard as the scalar executor, narrowed to the
-            # predicate parts the plan shape does not already prove.
+            # Re-check only the predicate parts the plan shape does
+            # not already prove.
             keep = np.fromiter(
                 (
                     all(
@@ -340,7 +340,6 @@ def _run_batch(
     actuals[node.op_id] = {
         "rows": int(pres.size),
         "seconds": time.perf_counter() - start,
-        "vectorized": True,
     }
     metrics = manager.metrics
     metrics.counter("query.exec.vectorized_ops").inc()
@@ -355,7 +354,27 @@ def run_vectorized(
     plan: PlanNode,
     actuals: dict[int, dict],
 ) -> list[int]:
-    """Run a plan tree over one document with batch operators; returns
-    matching pres sorted in document order (same contract as the
-    scalar ``execute_plan``)."""
+    """Run a plan tree over one document's column snapshot; returns
+    matching pres sorted in document order."""
     return _run_batch(manager, doc, cols, plan, actuals).to_pres()
+
+
+def execute_plan(
+    manager: IndexManager,
+    doc: Document,
+    plan: PlanNode,
+    actuals: dict[int, dict] | None = None,
+) -> list[int]:
+    """Run a plan tree over one document; returns matching pres sorted
+    in document order.  ``actuals`` (if given) is filled with
+    per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``."""
+    if actuals is None:
+        actuals = {}
+    result = run_vectorized(manager, doc, doc.columns(), plan, actuals)
+    metrics = manager.metrics
+    if isinstance(plan, FullScan):
+        metrics.counter("query.plans.scan").inc()
+    else:
+        metrics.counter("query.plans.index").inc()
+    metrics.counter("query.rows").inc(len(result))
+    return result

@@ -52,6 +52,7 @@ from .wire import (
     E_INTERNAL,
     E_NO_EPOCH,
     E_NO_VIEW,
+    E_RESULT_TOO_LARGE,
     E_SHUTTING_DOWN,
     E_UNKNOWN_OP,
     E_UNSUPPORTED_VERSION,
@@ -306,8 +307,15 @@ class DatabaseServer:
                 request_id, E_INTERNAL, f"{type(exc).__name__}: {exc}"
             )
         try:
+            frame = wire.encode_frame(response)
+        except wire.WireError as exc:
+            self._metrics.counter(
+                f"server.errors.{E_RESULT_TOO_LARGE}").inc()
+            frame = wire.encode_frame(wire.error_response(
+                request_id, E_RESULT_TOO_LARGE, str(exc)))
+        try:
             async with session.write_lock:
-                writer.write(wire.encode_frame(response))
+                writer.write(frame)
                 await writer.drain()
         except (ConnectionError, OSError):
             pass

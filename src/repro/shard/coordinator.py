@@ -621,19 +621,43 @@ class ShardCluster:
                                 []).append(name)
         return version, plan
 
-    def _scatter(self, shards: list[int], op: str, params) -> dict[int, dict]:
+    def _scatter(self, shards: list[int], op: str, params,
+                 pinned: bool = False) -> dict[int, dict]:
         """Pipeline one request to every shard, then gather: the sends
         all go out before the first receive blocks, so the shards
-        evaluate concurrently in their own processes."""
+        evaluate concurrently in their own processes.
+
+        Every sent request is drained before anything is raised — a
+        response left unread would desynchronize the pipelined
+        per-shard connection and sit in its client's pending buffer
+        forever.  Then an un-``pinned`` scatter that some shard
+        answered ``doc_moved`` raises :class:`DocumentMovedError`;
+        otherwise the first failure is re-raised."""
+        errors: list[Exception] = []
         sent: dict[int, int] = {}
         for shard in shards:
-            sent[shard] = self._routed(
-                shard, lambda c, s=shard: c.send(op, **params(s)))
+            try:
+                sent[shard] = self._routed(
+                    shard, lambda c, s=shard: c.send(op, **params(s)))
+            except (ShardError, wire.WireError) as exc:
+                errors.append(exc)
         results: dict[int, dict] = {}
+        moved: DocumentMovedError | None = None
         for shard, request_id in sent.items():
-            results[shard] = self._routed(
-                shard,
-                lambda c, rid=request_id: c.receive(rid))
+            try:
+                results[shard] = self._routed(
+                    shard, lambda c, rid=request_id: c.receive(rid))
+            except ClientError as exc:
+                if exc.code == wire.E_DOC_MOVED and not pinned:
+                    moved = moved or DocumentMovedError(shard, str(exc))
+                else:
+                    errors.append(exc)
+            except (ShardError, wire.WireError) as exc:
+                errors.append(exc)
+        if moved is not None:
+            raise moved
+        if errors:
+            raise errors[0]
         return results
 
     def query(self, xpath: str, document: str | None = None,
@@ -681,11 +705,7 @@ class ShardCluster:
                        plan: dict[int, list[str]],
                        view: ClusterView | None,
                        version: int | None) -> list[tuple[str, int, int]]:
-        """One scatter round over an explicit placement plan.  All
-        responses are drained even when some answer ``doc_moved``
-        (leaving requests in flight would desynchronize the pipelined
-        per-shard connections); the move is re-raised afterwards."""
-        shards = sorted(plan)
+        """One scatter round over an explicit placement plan."""
 
         def params(shard: int) -> dict:
             p: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes,
@@ -698,23 +718,8 @@ class ShardCluster:
                     p["view"] = token
             return p
 
-        sent: dict[int, int] = {}
-        for shard in shards:
-            sent[shard] = self._routed(
-                shard, lambda c, s=shard: c.send("query", **params(s)))
-        results: dict[int, dict] = {}
-        moved: DocumentMovedError | None = None
-        for shard, request_id in sent.items():
-            try:
-                results[shard] = self._routed(
-                    shard, lambda c, rid=request_id: c.receive(rid))
-            except ClientError as exc:
-                if exc.code == wire.E_DOC_MOVED and view is None:
-                    moved = DocumentMovedError(shard, str(exc))
-                    continue
-                raise
-        if moved is not None:
-            raise moved
+        results = self._scatter(sorted(plan), "query", params,
+                                pinned=view is not None)
         return self._merge_rows(
             [(shard, result["rows"]) for shard, result in results.items()]
         )

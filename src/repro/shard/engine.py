@@ -469,24 +469,19 @@ class ShardEngine:
 
     def query(self, text: str, document: str | None = None,
               use_indexes: bool | str = True,
-              vectorized: bool | None = None,
               as_of: int | None = None) -> list[int]:
         if as_of is not None:
             with self._as_of_view(as_of):
-                return _query(self.manager, text, document, use_indexes,
-                              vectorized=vectorized)
+                return _query(self.manager, text, document, use_indexes)
         controller = self.manager.concurrency
         if controller is not None and active_view() is None:
             # Auto-pin: the whole evaluation runs at one epoch.
             with controller.read_view():
-                return _query(self.manager, text, document, use_indexes,
-                              vectorized=vectorized)
-        return _query(self.manager, text, document, use_indexes,
-                      vectorized=vectorized)
+                return _query(self.manager, text, document, use_indexes)
+        return _query(self.manager, text, document, use_indexes)
 
     def query_rows(self, text: str, document: str | None = None,
                    use_indexes: bool | str = True,
-                   vectorized: bool | None = None,
                    as_of: int | None = None) -> list[tuple[str, int, int]]:
         """Like :meth:`query`, but returns ``(document, pre, nid)``
         rows instead of bare nids.
@@ -499,15 +494,12 @@ class ShardEngine:
         """
         if as_of is not None:
             with self._as_of_view(as_of):
-                return self._rows_of(self.query(
-                    text, document, use_indexes, vectorized=vectorized))
+                return self._rows_of(self.query(text, document, use_indexes))
         controller = self.manager.concurrency
         if controller is not None and active_view() is None:
             with controller.read_view():
-                return self._rows_of(self.query(
-                    text, document, use_indexes, vectorized=vectorized))
-        return self._rows_of(self.query(
-            text, document, use_indexes, vectorized=vectorized))
+                return self._rows_of(self.query(text, document, use_indexes))
+        return self._rows_of(self.query(text, document, use_indexes))
 
     def _rows_of(self, nids: list[int]) -> list[tuple[str, int, int]]:
         node = self.store.node

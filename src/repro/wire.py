@@ -52,6 +52,7 @@ __all__ = [
     "E_SHARD_DOWN",
     "E_NO_EPOCH",
     "E_DOC_MOVED",
+    "E_RESULT_TOO_LARGE",
 ]
 
 #: Bumped on incompatible protocol changes; exchanged in ``hello``.
@@ -81,6 +82,7 @@ E_UNSUPPORTED_VERSION = "unsupported_version"  # hello version/feature mismatch
 E_SHARD_DOWN = "shard_down"        # coordinator: owning shard unreachable
 E_NO_EPOCH = "epoch_not_retained"  # as_of epoch outside the retained window
 E_DOC_MOVED = "doc_moved"          # placement changed under the request; retry
+E_RESULT_TOO_LARGE = "result_too_large"  # response exceeds MAX_FRAME_BYTES
 
 
 class WireError(Exception):

@@ -26,17 +26,12 @@ the multi-document store array-shaped.
 
 from __future__ import annotations
 
-try:  # numpy is an accelerator, not a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
-__all__ = ["DocColumns", "HAVE_NUMPY", "EMPTY_PRES"]
-
-HAVE_NUMPY = np is not None
+__all__ = ["DocColumns", "EMPTY_PRES"]
 
 #: Shared empty row-id batch (int64, the pre-plane dtype).
-EMPTY_PRES = np.empty(0, dtype=np.int64) if HAVE_NUMPY else None
+EMPTY_PRES = np.empty(0, dtype=np.int64)
 
 
 class DocColumns:
@@ -58,8 +53,6 @@ class DocColumns:
     )
 
     def __init__(self, doc) -> None:
-        if np is None:  # pragma: no cover - guarded by HAVE_NUMPY
-            raise RuntimeError("numpy is required for DocColumns")
         self.kind = np.asarray(doc.kind, dtype=np.int8)
         self.size = np.asarray(doc.size, dtype=np.int64)
         self.level = np.asarray(doc.level, dtype=np.int32)

@@ -2,9 +2,10 @@
 
 Spins up N reader threads and M writer threads against one live
 :class:`~repro.database.Database`.  Every reader query runs inside a
-pinned :meth:`~repro.database.Database.read_view` under *both*
-executors — the vectorized batch pipeline and the scalar per-node
-walk — and each is cross-checked against the naive full-scan oracle
+pinned :meth:`~repro.database.Database.read_view` twice — through the
+planner's index plan and as a forced full scan
+(``use_indexes=False``) — and each is cross-checked against the naive
+full-scan oracle
 (:func:`repro.query.evaluate_naive`) evaluated on the *same pinned
 snapshot* — the document's text reads resolve through the MVCC
 overlay, so all three sides see epoch-consistent state.  Any
@@ -141,13 +142,13 @@ def run_stress(
                     break
                 text = rng.choice(QUERY_MAKERS)(rng)
                 with db.read_view():
-                    batch = sorted(db.query(text, vectorized=True))
-                    scalar = sorted(db.query(text, vectorized=False))
+                    batch = sorted(db.query(text))
+                    scan = sorted(db.query(text, use_indexes=False))
                     expected = oracle(db.store.document("people"), text)
-                if batch != expected or scalar != expected:
+                if batch != expected or scan != expected:
                     errors.append(
                         f"reader {slot} (seed {seed}): divergence on "
-                        f"{text!r}: batch={batch} scalar={scalar} "
+                        f"{text!r}: batch={batch} scan={scan} "
                         f"oracle={expected}"
                     )
                     stop.set()

@@ -1,19 +1,16 @@
-"""Differential suite: batch executor vs. scalar executor vs. naive.
+"""Differential suite: batch executor vs. the naive evaluator.
 
-The vectorized executor must be bit-identical to the scalar one on
-every workload query, in every execution mode, and its supporting
-caches (contains/regex memo, lazy nid map, plan-proved predicate
-elision) must never leak stale results across mutations.
+Every workload query, in every planning mode, must return exactly what
+a full scan with :func:`repro.query.evaluator.evaluate_naive` returns,
+and the executor's supporting caches (contains/regex memo, lazy nid
+map, plan-proved predicate elision) must never leak stale results
+across mutations.
 """
-
-import os
-from unittest import mock
 
 import pytest
 
 from repro.core import IndexManager
-from repro.query import parse_query, query
-from repro.query.executor import _scalar_forced
+from repro.query import evaluate_naive, parse_query, query
 from repro.query.planner import build_plan
 from repro.query.plan import (
     AncestorWalk,
@@ -54,40 +51,22 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("dataset,text", _workload_cases())
     def test_three_way_agreement(self, managers, dataset, text):
         manager = managers[dataset]
-        vectorized = query(manager, text, vectorized=True)
-        scalar = query(manager, text, vectorized=False)
-        naive = query(manager, text, use_indexes=False)
-        assert vectorized == scalar == naive
+        indexed = query(manager, text)
+        scanned = query(manager, text, use_indexes=False)
+        doc = next(iter(manager.store.documents.values()))
+        naive = [
+            doc.nid[pre]
+            for pre in evaluate_naive(doc, parse_query(text).path)
+        ]
+        assert indexed == scanned == naive
 
     @pytest.mark.parametrize("use_indexes", [True, False, "auto"])
     def test_modes_agree(self, managers, use_indexes):
         manager = managers["DBLP"]
         text = "//inproceedings[year >= 2000 and year < 2005]"
-        assert query(
-            manager, text, use_indexes=use_indexes, vectorized=True
-        ) == query(manager, text, use_indexes=use_indexes, vectorized=False)
-
-
-class TestScalarEscapeHatch:
-    def test_env_forces_scalar(self, managers):
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "1"}):
-            assert _scalar_forced()
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "0"}):
-            assert not _scalar_forced()
-        assert _scalar_forced() is (
-            os.environ.get("REPRO_SCALAR_EXEC", "").lower()
-            in ("1", "true", "yes")
+        assert query(manager, text, use_indexes=use_indexes) == query(
+            manager, text, use_indexes=False
         )
-
-    def test_env_routes_execution(self, managers):
-        manager = managers["XMark1"]
-        text = "//item[price < 10]"
-        expected = query(manager, text, vectorized=False)
-        before = manager.metrics.counter("query.exec.vectorized_ops").value
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "1"}):
-            assert query(manager, text) == expected
-        after = manager.metrics.counter("query.exec.vectorized_ops").value
-        assert after == before  # no batch operators ran
 
 
 class TestPlanProvedPredicates:
@@ -125,7 +104,7 @@ class TestPlanProvedPredicates:
         assert lookup.high_op == "<" and lookup.high_value == 2005.0
         assert lookup.op_symbol == ">=" and lookup.value == 2000.0
         assert len(lookup.proves) == 2
-        # ...and every branch proves both, so no scalar re-check
+        # ...and every branch proves both, so no per-node re-check
         # remains.
         assert _residual_predicates(node) == []
 
@@ -137,7 +116,7 @@ class TestPlanProvedPredicates:
         # The uncovered string-inequality conjunct must be re-checked.
         predicate = node.predicate
         assert all(part in predicate.children for part in residual)
-        assert query(manager, text, vectorized=True) == query(
+        assert query(manager, text) == query(
             manager, text, use_indexes=False
         )
 

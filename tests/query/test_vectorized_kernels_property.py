@@ -2,12 +2,17 @@
 
 Generates seeded adversarial documents — deep single-child chains,
 wide flat fanouts, mixed element/attribute/text shapes with heavy tag
-reuse — and checks the numpy kernels against the scalar recursions
-they replace, node for node:
+reuse — and checks the numpy kernels against brute force over the
+naive evaluator, node for node:
 
-* ``ancestor_walk``  ≡ union of ``_context_starts`` over the hit set;
-* ``structural_verify`` ≡ ``_matches_absolute`` per candidate;
-* full ``query()``  ≡ scalar executor ≡ ``evaluate_naive``.
+* ``ancestor_walk``  ≡ every pre ``c`` whose ``evaluate_path(doc, [c],
+  steps)`` reaches the hit set;
+* ``structural_verify`` ≡ the candidates inside
+  ``evaluate_path(doc, [0], steps)``;
+* full ``query()`` (index plans and scan plans) ≡ ``evaluate_naive``.
+
+(The two kernel tests keep their historical ``*_scalar_recursion``
+names; the reference they check against is the naive evaluator.)
 
 Tag reuse is the adversarial ingredient: the same name appearing at
 many depths produces overlapping containment intervals, which is
@@ -28,7 +33,7 @@ from repro.query.ast import (
     TextTest,
     WildcardTest,
 )
-from repro.query.executor import _context_starts, _matches_absolute
+from repro.query.evaluator import evaluate_path
 from repro.query.kernels import ancestor_walk, structural_verify
 
 TAGS = ("a", "b", "c", "d")
@@ -96,11 +101,14 @@ def test_ancestor_walk_matches_scalar_recursion(seed):
         hits = np.sort(
             rng.sample(range(len(doc)), rng.randint(0, min(12, len(doc))))
         ).astype(np.int64) if len(doc) else all_pres[:0]
-        expected = set()
-        for pre in hits.tolist():
-            expected |= _context_starts(doc, pre, steps, len(steps) - 1)
+        hit_set = set(hits.tolist())
+        expected = [
+            context
+            for context in range(len(doc))
+            if hit_set.intersection(evaluate_path(doc, [context], steps))
+        ]
         got = ancestor_walk(doc, cols, hits, steps)
-        assert got.tolist() == sorted(expected), (seed, steps)
+        assert got.tolist() == expected, (seed, steps)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -112,11 +120,8 @@ def test_structural_verify_matches_scalar_recursion(seed):
         candidates = np.sort(
             rng.sample(range(len(doc)), rng.randint(0, min(15, len(doc))))
         ).astype(np.int64)
-        expected = [
-            pre
-            for pre in candidates.tolist()
-            if _matches_absolute(doc, pre, steps, len(steps) - 1, None, {})
-        ]
+        selected = set(evaluate_path(doc, [0], steps))
+        expected = [pre for pre in candidates.tolist() if pre in selected]
         got = structural_verify(doc, cols, candidates, steps, None)
         assert got.tolist() == expected, (seed, steps)
 
@@ -145,8 +150,8 @@ def test_full_query_equivalence_on_random_docs(seed):
             n=rng.randint(0, 99),
             m=rng.randint(0, 99),
         )
-        vectorized = query(manager, text, vectorized=True)
-        scalar = query(manager, text, vectorized=False)
+        indexed = query(manager, text)
+        scanned = query(manager, text, use_indexes=False)
         parsed = parse_query(text)
         naive = [doc.nid[pre] for pre in evaluate_naive(doc, parsed.path)]
-        assert vectorized == scalar == naive, (seed, text)
+        assert indexed == scanned == naive, (seed, text)

@@ -5,6 +5,7 @@ sockets with the blocking :class:`~repro.client.Client`.
 """
 
 import time
+from unittest import mock
 
 import pytest
 
@@ -175,6 +176,22 @@ class TestErrors:
             with pytest.raises(ClientError) as err:
                 client.call("update", action="shred")
         assert err.value.code == wire.E_BAD_REQUEST
+
+    def test_oversized_result_is_reported_not_hung(self, served):
+        # A response over the frame cap must come back as a stable
+        # error, not leave the client waiting out its timeout.
+        timeout = 10.0
+        with Client(served.host, served.port, timeout=timeout) as client:
+            with mock.patch.object(wire, "MAX_FRAME_BYTES", 256):
+                started = time.monotonic()
+                with pytest.raises(ClientError) as err:
+                    client.query("//*")
+                elapsed = time.monotonic() - started
+                assert err.value.code == wire.E_RESULT_TOO_LARGE
+                assert elapsed < timeout / 4
+                assert client.ping() == {}  # the session survives
+        counters = served.db.manager.metrics.snapshot()["counters"]
+        assert counters["server.errors.result_too_large"] == 1
 
 
 class TestAdmissionControl:

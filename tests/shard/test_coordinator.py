@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client import ClientError
 from repro.database import Database
 from repro.shard import ShardCluster, ShardError
 from repro.shard.manifest import ShardingManifest
@@ -92,6 +93,25 @@ class TestScatterGather:
         cluster2.load("b", fixture_xml(persons=3), shard=1)
         rows = cluster2.query("//p", document="b")
         assert rows and all(doc == "b" for doc, _p, _n in rows)
+
+    def test_failed_scatters_drain_every_response(self, tmp_path):
+        # Every shard rejects a malformed query.  Each round must still
+        # read all shards' answers: one left unread would sit in its
+        # client's pending buffer for the rest of the session.
+        cluster = make_cluster(tmp_path, shards=3)
+        try:
+            for shard in range(3):
+                cluster.load(f"d{shard}", fixture_xml(persons=3),
+                             shard=shard)
+            for _ in range(5):
+                with pytest.raises(ClientError):
+                    cluster.query("//p[")
+            assert len(cluster.query("//p")) == 9
+            pending = {shard: len(client._pending)
+                       for shard, client in cluster._clients.items()}
+            assert pending == {0: 0, 1: 0, 2: 0}
+        finally:
+            cluster.stop()
 
     def test_empty_cluster_queries_empty(self, cluster2):
         assert cluster2.query("//p") == []
